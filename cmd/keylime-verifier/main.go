@@ -632,12 +632,21 @@ func run() error {
 	// persist latency and fsync counts. A healthy group-commit setup
 	// shows last_sweep_fsyncs pinned at a handful no matter how many
 	// rows the sweep persisted; a climbing errors counter means the
-	// verifier will re-trust from scratch after its next crash.
+	// verifier will re-trust from scratch after its next crash. With a
+	// journal -state, whole_puts/patched_puts say how many rows were
+	// journaled whole and how many as a patch against their predecessor:
+	// between policy updates nearly every put should be patched.
 	v.RegisterStats("persist", func() any {
 		c := iofs.Counters()
+		var ss store.Stats
+		if st != nil {
+			ss = st.Stats()
+		}
 		pm.Lock()
 		defer pm.Unlock()
 		return map[string]any{
+			"whole_puts":          ss.WholePuts,
+			"patched_puts":        ss.PatchedPuts,
 			"sweeps":              pm.sweeps,
 			"errors":              pm.errs,
 			"last_sweep_rows":     pm.lastRows,

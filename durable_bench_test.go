@@ -25,12 +25,14 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/keylime/audit"
 	"repro/internal/keylime/store"
 	"repro/internal/keylime/verifier"
+	"repro/internal/tpm"
 )
 
 // durableHarness wires a verifier to a journaled state store and audit
@@ -49,7 +51,7 @@ type durableHarness struct {
 	persistNs time.Duration
 }
 
-func newDurableHarness(tb testing.TB, fleet int, mode string) *durableHarness {
+func newDurableHarness(tb testing.TB, fleet int, mode string, extra ...verifier.Option) *durableHarness {
 	tb.Helper()
 	durable := mode != "off"
 	group := mode == "group-commit"
@@ -84,7 +86,7 @@ func newDurableHarness(tb testing.TB, fleet int, mode string) *durableHarness {
 			verifier.WithAuditBatch(group),
 		)
 	}
-	v := verifier.New("", vopts...)
+	v := verifier.New("", append(vopts, extra...)...)
 	for i := 0; i < fleet; i++ {
 		id := fmt.Sprintf("fleet-%05d-4a97-9ef7-75bd81c0f1ee", i)
 		if err := v.AddAgentWithAK(id, "http://agent.fleet.internal", akPub, pol); err != nil {
@@ -220,4 +222,80 @@ func TestDurableSweepFsyncBudget(t *testing.T) {
 	if got := h.jl.Log.Len(); got != fleet*(sweeps+1) {
 		t.Fatalf("audit log holds %d records, want %d", got, fleet*(sweeps+1))
 	}
+}
+
+// TestSteadySweepJournalBytesBudget is the persist path's byte-and-heap
+// gate, the deterministic shadow of the whole-stack benchmark's
+// steady_sessions workload: 64 agents on a ~500-line policy, sweeps in
+// which every round is a session MAC. Between update days a row's only
+// news is its counters, so a sweep may journal at most 2 KiB per ~50 KB
+// row into the state store, and the store may not hoard what it wrote:
+// over 5 000 row mutations the heap grows by less than the live state
+// (the store's share of the heap stays under twice what it holds).
+func TestSteadySweepJournalBytesBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fleet fixture is expensive")
+	}
+	const (
+		fleet       = 64
+		policyLines = 500
+		rowBudget   = 2 << 10
+		mutations   = 5000
+	)
+	// No forced full quote within the test: once established, every round
+	// is a session round.
+	h := newDurableHarness(t, fleet, "group-commit", verifier.WithSessionPolicy(1<<30, 0))
+	defer h.close()
+	ctx := context.Background()
+	active, _, err := h.v.ActivePolicy(h.v.AgentIDs()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := active.Lines(); i < policyLines; i++ {
+		var d tpm.Digest
+		d[0], d[1] = byte(i), byte(i>>8)
+		active.Add(fmt.Sprintf("/usr/lib/x86_64-linux-gnu/libsteady-%04d.so.1", i), d)
+	}
+	for _, id := range h.v.AgentIDs() {
+		if err := h.v.UpdatePolicy(id, active); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Warm-up: the full quotes that establish sessions, then one session
+	// sweep, so the measured ones start from rows written by their like.
+	for i := 0; i < 3; i++ {
+		h.sweep(t, ctx, fleet)
+	}
+	var liveBytes int64
+	for _, row := range h.st.All() {
+		liveBytes += int64(len(row))
+	}
+	if perRow := liveBytes / fleet; perRow < 40<<10 {
+		t.Fatalf("rows are %d bytes: the fixture no longer resembles a ~500-line policy", perRow)
+	}
+	heap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	heap0, journal0 := heap(), h.st.Stats().JournalBytes
+	sweeps := 0
+	for ; sweeps*fleet < mutations; sweeps++ {
+		if st := h.sweep(t, ctx, fleet); st.SessionRounds != fleet {
+			t.Fatalf("sweep %d: %d of %d rounds were session rounds: %+v", sweeps, st.SessionRounds, fleet, st)
+		}
+	}
+	st := h.st.Stats()
+	perRow := float64(st.JournalBytes-journal0) / float64(sweeps*fleet)
+	if perRow > rowBudget {
+		t.Fatalf("a session-only sweep journals %.0f bytes per row (budget %d): rows are being rewritten whole (%d whole puts, %d patched)",
+			perRow, rowBudget, st.WholePuts, st.PatchedPuts)
+	}
+	if growth := heap() - heap0; growth > liveBytes {
+		t.Fatalf("heap grew %d KiB over %d row mutations of a %d KiB live state: the store is retaining what it wrote",
+			growth>>10, sweeps*fleet, liveBytes>>10)
+	}
+	t.Logf("%.0f journal bytes per row per session sweep; rows %d bytes; %d patched / %d whole puts",
+		perRow, liveBytes/fleet, st.PatchedPuts, st.WholePuts)
 }

@@ -9,12 +9,14 @@ package cluster
 // every attestation round still does real nonce/quote/ECDSA/IMA work.
 
 import (
+	"bytes"
 	"context"
 	"crypto/rand"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -554,4 +556,78 @@ func TestClusterHTTPTransport(t *testing.T) {
 		}
 	}
 	t.Fatalf("no leader with a committed 2-node assignment over HTTP transport")
+}
+
+// TestClusterStandbyConvergesAfterRepeatedWrites: the follow tail keeps no
+// values, so when a row is written several times — or deleted and put
+// back — between two replication ticks, the standby is sent the row as it
+// stands, once. Its replica must then equal the owner's shard byte for
+// byte: nothing stale, nothing missing, nothing extra.
+func TestClusterStandbyConvergesAfterRepeatedWrites(t *testing.T) {
+	h := newHarness(t, 1, "v1", "v2", "v3")
+	h.converge()
+	agents := h.addAgents(9)
+	if st := h.sweepAll(); st.Attested != len(agents) || st.Failed != 0 {
+		t.Fatalf("first sweep = %+v", st)
+	}
+	// Four sweeps and no tick: every row is rewritten four times, and on
+	// each node one row is also deleted and put back in between.
+	for round := 0; round < 4; round++ {
+		for _, id := range h.liveIDs() {
+			tn := h.nodes[id]
+			if st := tn.n.Sweep(h.ctx); st.Failed != 0 {
+				t.Fatalf("round %d on %s = %+v", round, id, st)
+			}
+			if round != 2 {
+				continue
+			}
+			for k, v := range tn.st.All() {
+				if strings.HasPrefix(k, agentPrefix) {
+					if err := tn.st.PutBatch([]store.KV{{Key: k, Delete: true}, {Key: k, Value: v}}); err != nil {
+						t.Fatal(err)
+					}
+					break
+				}
+			}
+		}
+	}
+	h.tick()
+	replicated := 0
+	for _, src := range h.liveIDs() {
+		shard := map[string][]byte{}
+		for k, v := range h.nodes[src].st.All() {
+			if strings.HasPrefix(k, agentPrefix) {
+				shard[k] = v
+			}
+		}
+		holders := 0
+		for _, dst := range h.liveIDs() {
+			prefix := replicaPrefix + src + "/"
+			replica := map[string][]byte{}
+			for k, v := range h.nodes[dst].st.All() {
+				if strings.HasPrefix(k, prefix) {
+					replica[strings.TrimPrefix(k, prefix)] = v
+				}
+			}
+			if len(replica) == 0 {
+				continue
+			}
+			holders++
+			if len(replica) != len(shard) {
+				t.Fatalf("%s holds %d rows of %s's shard of %d", dst, len(replica), src, len(shard))
+			}
+			for k, v := range shard {
+				if !bytes.Equal(replica[k], v) {
+					t.Fatalf("%s's replica of %s row %s differs from the owner's", dst, src, k)
+				}
+				replicated++
+			}
+		}
+		if len(shard) > 0 && holders != 1 {
+			t.Fatalf("%s's shard is replicated on %d nodes, want 1", src, holders)
+		}
+	}
+	if replicated != len(agents) {
+		t.Fatalf("%d rows verified on standbys, want %d", replicated, len(agents))
+	}
 }

@@ -1,11 +1,13 @@
 package cluster
 
 // Sender-side journal replication: every tick, each node streams its
-// store's new "a/" segments to the ring standbys for its shard. The
-// cursor is (store epoch, journal seq); any mismatch on the receiver —
-// restart on either side, outrun segment tail, first contact — degrades
-// to a full snapshot, which is always safe because agent rows are
-// whole-row last-writer-wins.
+// store's new "a/" segments to the ring standbys for its shard. Agent
+// rows are whole-row last-writer-wins, so a tick carries each row touched
+// since the standby's cursor once, as it stands now (store.Since), however
+// often it was written in between. The cursor is (store epoch, journal
+// seq); any mismatch on the receiver — restart on either side, outrun
+// segment tail, first contact — degrades to a full snapshot, which is
+// always safe for the same reason.
 
 import (
 	"context"

@@ -44,7 +44,8 @@ type Broken struct {
 	// Artifact is "audit", "outbox", or "rollout".
 	Artifact string `json:"artifact"`
 	// Index and Offset locate the record inside the artifact (both -1
-	// when the artifact has no record granularity, e.g. rollout state).
+	// when the problem is not at a frame, e.g. a rollout record whose
+	// bundle fails its signature).
 	Index  int   `json:"index"`
 	Offset int64 `json:"offset"`
 	// Class is the artifact's taxonomy class (signature-failure,
@@ -150,7 +151,7 @@ func Verify(cfg Config) (*Report, error) {
 		}
 		rep.Rollout = rr
 		if !rr.OK() && rep.FirstBroken == nil {
-			rep.FirstBroken = &Broken{Artifact: "rollout", Index: -1, Offset: -1,
+			rep.FirstBroken = &Broken{Artifact: "rollout", Index: rr.Index, Offset: rr.Offset,
 				Class: rr.Class, Detail: rr.Detail}
 		}
 	}

@@ -1,8 +1,14 @@
 package rollout
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"hash/crc32"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -199,5 +205,100 @@ func TestBeginRequiresSigningKey(t *testing.T) {
 	}
 	if _, err := c.Begin(candidate(t)); err == nil {
 		t.Fatal("Begin with keyless keyring must fail")
+	}
+}
+
+// The rollout record is rewritten at every stage transition with the
+// same sealed bundle inside, so its journal is a whole put followed by
+// patches. The offline walk replays those patches: an honest journal
+// verifies, a patch tampered behind a re-sealed frame CRC is reported at
+// its frame (the patch carries the CRC of the row it must rebuild), and
+// a plain bit flip — which fails the frame CRC and would otherwise drop
+// the newest stage silently — is reported as a torn frame there too.
+func TestVerifyStateOverPatchedJournal(t *testing.T) {
+	dir := t.TempDir()
+	f := newFakeFleet("a1", "a2", "a3", "a4")
+	kr := signingKeyring(t)
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(Config{Fleet: f, Store: st, Keyring: kr, ShadowRounds: 2, CanaryRounds: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol := policy.New()
+	for i := 0; i < 60; i++ {
+		pol.Add(fmt.Sprintf("/usr/bin/tool-%02d", i), policy.Digest{0xAA, byte(i)})
+	}
+	gen, err := c.Begin(pol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := drive(t, c, f, false, 6); got.Stage != StageCanary {
+		t.Fatalf("after 6 rounds the rollout is at %s, want canary", got.Stage)
+	}
+	if stats := st.Stats(); stats.PatchedPuts == 0 {
+		t.Fatalf("the rollout record never journaled as a patch: %+v", stats)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	rep, err := VerifyState(store.OS(), dir, kr)
+	if err != nil || !rep.OK() || rep.Gen != gen || rep.Stage != StageCanary || !rep.Signed {
+		t.Fatalf("honest patched journal: report %+v err %v, want generation %d at canary, verified", rep, err, gen)
+	}
+
+	jpath := filepath.Join(dir, store.JournalFile)
+	honest, err := os.ReadFile(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, _, err := store.ScanRecords(honest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var patch store.ScannedRecord
+	for _, r := range recs {
+		if r.Payload[0] == 3 && bytes.Contains(r.Payload, []byte(keyCurrent)) {
+			patch = r // the last patch of the rollout record
+		}
+	}
+	if patch.Payload == nil {
+		t.Fatal("no patch record for the rollout record in the journal")
+	}
+	last := int(patch.Offset) + 8 + len(patch.Payload) - 1 // a byte of the patch's middle
+
+	// Tampered with tooling: middle byte changed, frame CRC re-sealed.
+	tampered := append([]byte(nil), honest...)
+	tampered[last] ^= 0x01
+	binary.BigEndian.PutUint32(tampered[patch.Offset+4:], crc32.Checksum(tampered[patch.Offset+8:last+1], crc32.MakeTable(crc32.Castagnoli)))
+	if err := os.WriteFile(jpath, tampered, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	rep, err = VerifyState(store.OS(), dir, kr)
+	if err != nil {
+		t.Fatalf("a tampered patch is a finding, not a local fault: %v", err)
+	}
+	if rep.Class != "bad-record" || rep.Index != patch.Index || rep.Offset != patch.Offset {
+		t.Fatalf("re-sealed tampered patch: %+v, want bad-record at record %d offset %d", rep, patch.Index, patch.Offset)
+	}
+	if _, err := store.Open(dir); !errors.Is(err, store.ErrCorrupt) {
+		t.Fatalf("Open over the tampered patch: %v, want ErrCorrupt", err)
+	}
+
+	// A plain bit flip.
+	flipped := append([]byte(nil), honest...)
+	flipped[last] ^= 0x01
+	if err := os.WriteFile(jpath, flipped, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	rep, err = VerifyState(store.OS(), dir, kr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Class != "torn-frame" || rep.Index != patch.Index || rep.Offset != patch.Offset {
+		t.Fatalf("bit-flipped patch: %+v, want torn-frame at record %d offset %d", rep, patch.Index, patch.Offset)
 	}
 }

@@ -6,6 +6,7 @@ package store_test
 // of the background group-commit mode.
 
 import (
+	"bytes"
 	"fmt"
 	"io/fs"
 	"path/filepath"
@@ -18,53 +19,179 @@ import (
 	"repro/internal/keylime/store"
 )
 
-// batchWorkload is a fixed sequence of PutBatch calls exercising mixed
-// puts/deletes, overwrites, and a compaction between batches.
-var batchWorkload = [][]store.KV{
-	{
-		{Key: "agent-a", Value: []byte("frontier:10")},
-		{Key: "agent-b", Value: []byte("frontier:4")},
-		{Key: "agent-c", Value: []byte("frontier:2")},
-	},
-	{
-		{Key: "agent-a", Value: []byte("frontier:17")},
-		{Key: "agent-b", Delete: true},
-		{Key: "agent-d", Value: []byte("frontier:9")},
-		{Key: "agent-e", Value: []byte("frontier:1")},
-	},
-	{
-		{Key: "agent-c", Value: []byte("frontier:11")},
-		{Key: "agent-d", Delete: true},
-		{Key: "agent-a", Value: []byte("frontier:23")},
-	},
+// batchWorkload is a fixed sequence of PutBatch calls, with a compaction
+// before each batch index named in compactBefore.
+type batchWorkload struct {
+	batches       [][]store.KV
+	compactBefore map[int]bool
 }
 
-// runBatchCrashWorkload runs the batches (with a compaction between the
-// second and third) until one errors. acked/started count batches.
-func runBatchCrashWorkload(fsys store.FS, dir string) (acked, started int) {
+// smallBatches exercises mixed puts/deletes, overwrites, and a compaction
+// between batches, on values too small ever to journal as patches.
+var smallBatches = batchWorkload{
+	batches: [][]store.KV{
+		{
+			{Key: "agent-a", Value: []byte("frontier:10")},
+			{Key: "agent-b", Value: []byte("frontier:4")},
+			{Key: "agent-c", Value: []byte("frontier:2")},
+		},
+		{
+			{Key: "agent-a", Value: []byte("frontier:17")},
+			{Key: "agent-b", Delete: true},
+			{Key: "agent-d", Value: []byte("frontier:9")},
+			{Key: "agent-e", Value: []byte("frontier:1")},
+		},
+		{
+			{Key: "agent-c", Value: []byte("frontier:11")},
+			{Key: "agent-d", Delete: true},
+			{Key: "agent-a", Value: []byte("frontier:23")},
+		},
+	},
+	compactBefore: map[int]bool{2: true},
+}
+
+// patchRow is a state row shaped like the verifier's: a multi-KB cold
+// body every revision of every key shares, then a short tail with the
+// key and two counters a few dozen bytes apart — so consecutive revisions
+// journal as patches, narrow ones when a single counter moves.
+func patchRow(key string, nextOffset, attestations int) []byte {
+	row := bytes.Repeat([]byte(`"/usr/bin/tool":["00112233445566778899aabbccddeeff"],`), 80)
+	return append(row, fmt.Sprintf(`"agent_id":%q,"next_offset":%d,"prefix_aggregate":"5f3c9a","attestations":%d}`,
+		key, nextOffset, attestations)...)
+}
+
+// patchedBatches drives every patch path through the crash sweeps: a
+// patch against the stored value, against an in-batch predecessor,
+// delete-then-put inside one batch (a whole put), the whole puts the
+// base rule forces after each compaction, and — the one case patches
+// make non-trivial — a kill between a compaction's snapshot rename and
+// its journal reset, which leaves a stale journal over a newer snapshot
+// (the op sweep lands a crash on exactly that truncate). agent-b's two
+// puts between the compactions are what makes that case bite: one moves
+// only the later counter, the next only the earlier one and by a digit,
+// so patches cut against the old snapshot's row would land misaligned on
+// the new snapshot's and rebuild a row no checksum accepts. Only because
+// the first put into an emptied journal is whole does the stale journal
+// replay from its own base.
+var patchedBatches = batchWorkload{
+	batches: [][]store.KV{
+		{
+			{Key: "agent-a", Value: patchRow("agent-a", 0, 1)},
+			{Key: "agent-b", Value: patchRow("agent-b", 8, 15)},
+			{Key: "agent-c", Value: patchRow("agent-c", 0, 1)},
+		},
+		{
+			{Key: "agent-a", Value: patchRow("agent-a", 1, 2)},
+			{Key: "agent-b", Value: patchRow("agent-b", 8, 16)},
+			{Key: "agent-a", Value: patchRow("agent-a", 1, 3)},
+			{Key: "agent-c", Delete: true},
+			{Key: "agent-c", Value: patchRow("agent-c", 1, 2)},
+			{Key: "agent-d", Value: patchRow("agent-d", 0, 1)},
+		},
+		{
+			{Key: "agent-a", Value: patchRow("agent-a", 2, 4)},
+			{Key: "agent-a", Value: patchRow("agent-a", 2, 5)},
+			{Key: "agent-b", Value: patchRow("agent-b", 8, 17)},
+			{Key: "agent-d", Delete: true},
+		},
+		{
+			{Key: "agent-a", Value: patchRow("agent-a", 3, 6)},
+			{Key: "agent-b", Value: patchRow("agent-b", 10, 17)},
+			{Key: "agent-c", Value: patchRow("agent-c", 1, 3)},
+		},
+		{
+			{Key: "agent-b", Value: patchRow("agent-b", 10, 18)},
+			{Key: "agent-b", Value: patchRow("agent-b", 11, 19)},
+		},
+	},
+	compactBefore: map[int]bool{2: true, 4: true},
+}
+
+// run executes the batches (and compactions) until one errors. acked and
+// started count batches; onStep, when set, is called after the open and
+// after every completed compaction and batch.
+func (w batchWorkload) run(fsys store.FS, dir string, onStep func(*store.Store)) (acked, started int) {
 	s, err := store.Open(dir, store.WithStoreFS(fsys), store.WithAutoCompact(0))
 	if err != nil {
 		return 0, 0
 	}
 	defer func() { _ = s.Close() }()
-	for i, batch := range batchWorkload {
-		if i == 2 {
+	if onStep == nil {
+		onStep = func(*store.Store) {}
+	}
+	onStep(s)
+	for i, batch := range w.batches {
+		if w.compactBefore[i] {
 			if err := s.Compact(); err != nil {
 				return acked, started
 			}
+			onStep(s)
 		}
 		started++
 		if err := s.PutBatch(batch); err != nil {
 			return acked, started
 		}
 		acked++
+		onStep(s)
 	}
 	return acked, started
 }
 
-// batchModel folds the first `batches` full batches plus `prefix` ops of
-// the next one into the expected state.
-func batchModel(batches, prefix int) map[string]string {
+// crashPoints runs w fault-free and returns how many bytes and mutating
+// ops it wrote plus the byte offsets worth killing at: every byte of a
+// step that wrote under 1 KiB, every byte within 24 of the start of a
+// step or of a journal frame (headers, patch records, the last bytes of
+// the frame before), and every 61st byte through the multi-KB bodies of
+// whole puts and snapshots, where every offset tears the same frame the
+// same way.
+func (w batchWorkload) crashPoints(t *testing.T, dir string) (total int64, ops int, offsets []int64) {
+	t.Helper()
+	fsys := faultinject.NewFaultFS()
+	var stepStart, journalBefore int64
+	near := func(k int64, marks []int64) bool {
+		for _, m := range marks {
+			if k > m-24 && k <= m+24 {
+				return true
+			}
+		}
+		return false
+	}
+	acked, _ := w.run(fsys, dir, func(s *store.Store) {
+		stepEnd := fsys.Counters().WriteBytes
+		// Frames this step appended to the journal, as offsets into the
+		// workload's cumulative write stream.
+		marks := []int64{stepStart, stepEnd}
+		recs, info, err := store.ScanFile(store.OS(), filepath.Join(dir, store.JournalFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.ValidLen > journalBefore {
+			for _, r := range recs {
+				if r.Offset >= journalBefore {
+					marks = append(marks, stepStart+r.Offset-journalBefore)
+				}
+			}
+		}
+		for k := stepStart + 1; k <= stepEnd; k++ {
+			if stepEnd-stepStart <= 1024 || near(k, marks) || (k-stepStart)%61 == 0 {
+				offsets = append(offsets, k)
+			}
+		}
+		stepStart, journalBefore = stepEnd, info.ValidLen
+	})
+	if acked != len(w.batches) {
+		t.Fatalf("fault-free pass acked %d of %d batches", acked, len(w.batches))
+	}
+	c := fsys.Counters()
+	if c.WriteBytes == 0 {
+		t.Fatal("counting pass saw no writes")
+	}
+	return c.WriteBytes, c.MutatingOps, offsets
+}
+
+// model folds the first `batches` full batches plus `prefix` ops of the
+// next one into the expected state.
+func (w batchWorkload) model(batches, prefix int) map[string]string {
 	m := make(map[string]string)
 	apply := func(op store.KV) {
 		if op.Delete {
@@ -74,30 +201,44 @@ func batchModel(batches, prefix int) map[string]string {
 		}
 	}
 	for i := 0; i < batches; i++ {
-		for _, op := range batchWorkload[i] {
+		for _, op := range w.batches[i] {
 			apply(op)
 		}
 	}
-	if batches < len(batchWorkload) {
-		for _, op := range batchWorkload[batches][:prefix] {
+	if batches < len(w.batches) {
+		for _, op := range w.batches[batches][:prefix] {
 			apply(op)
 		}
 	}
 	return m
 }
 
-// checkBatchRecovered asserts the prefix-durability invariant: the
-// recovered state matches every acked batch plus some in-order prefix
-// (possibly empty, possibly complete) of the single in-flight batch —
-// never a subset of an acked batch, never out-of-order ops.
-func checkBatchRecovered(t *testing.T, label, dir string, acked, started int) {
+// checkRecovered asserts the prefix-durability invariant on a crashed
+// directory: what a read-only LoadState sees and what Open recovers are
+// the same state, and it matches every acked batch plus some in-order
+// prefix (possibly empty, possibly complete) of the single in-flight
+// batch — never a subset of an acked batch, never out-of-order ops,
+// never a patch applied to the wrong base.
+func (w batchWorkload) checkRecovered(t *testing.T, label, dir string, acked, started int) {
 	t.Helper()
+	loaded, err := store.LoadState(store.OS(), dir)
+	if err != nil {
+		t.Fatalf("%s: LoadState failed: %v", label, err)
+	}
 	s, err := store.Open(dir)
 	if err != nil {
 		t.Fatalf("%s: recovery failed: %v", label, err)
 	}
 	defer func() { _ = s.Close() }()
 	got := s.All()
+	if len(loaded) != len(got) {
+		t.Fatalf("%s: LoadState sees %d keys, Open recovers %d", label, len(loaded), len(got))
+	}
+	for k, v := range got {
+		if !bytes.Equal(loaded[k], v) {
+			t.Fatalf("%s: LoadState and Open disagree on %s", label, k)
+		}
+	}
 	matches := func(model map[string]string) bool {
 		if len(got) != len(model) {
 			return false
@@ -110,66 +251,135 @@ func checkBatchRecovered(t *testing.T, label, dir string, acked, started int) {
 		return true
 	}
 	maxPrefix := 0
-	if started > acked && acked < len(batchWorkload) {
-		maxPrefix = len(batchWorkload[acked])
+	if started > acked && acked < len(w.batches) {
+		maxPrefix = len(w.batches[acked])
 	}
 	for p := 0; p <= maxPrefix; p++ {
-		if matches(batchModel(acked, p)) {
+		if matches(w.model(acked, p)) {
 			if err := s.Put("post-crash", []byte("accepted")); err != nil {
 				t.Fatalf("%s: store rejects writes after recovery: %v", label, err)
 			}
 			return
 		}
 	}
+	keys := make([]string, 0, len(got))
+	for k, v := range got {
+		keys = append(keys, fmt.Sprintf("%s(%d bytes)", k, len(v)))
+	}
 	t.Fatalf("%s: recovered state %v is not %d acked batches + a prefix of batch %d",
-		label, got, acked, acked)
+		label, keys, acked, acked)
 }
 
-// TestStoreBatchCrashAtEveryByte kills the simulated process at every
-// byte offset of the batched workload: a torn batched write must recover
-// as an in-order prefix of the batch, and no acknowledged batch may lose
-// a record.
+// TestStoreBatchCrashAtEveryByte kills the simulated process at byte
+// offsets throughout the batched workloads (all of them for the small
+// one): a torn batched write must recover as an in-order prefix of the
+// batch, and no acknowledged batch may lose a record.
 func TestStoreBatchCrashAtEveryByte(t *testing.T) {
-	base := t.TempDir()
-	countFS := faultinject.NewFaultFS()
-	if acked, _ := runBatchCrashWorkload(countFS, filepath.Join(base, "count")); acked != len(batchWorkload) {
-		t.Fatalf("fault-free pass acked %d of %d batches", acked, len(batchWorkload))
-	}
-	total := countFS.Counters().WriteBytes
-	if total == 0 {
-		t.Fatal("counting pass saw no writes")
-	}
-	for k := int64(1); k <= total; k++ {
-		dir := filepath.Join(base, fmt.Sprintf("byte-%05d", k))
-		ffs := faultinject.NewFaultFS()
-		ffs.CrashAfterBytes = k
-		acked, started := runBatchCrashWorkload(ffs, dir)
-		if k < total && !ffs.Crashed() {
-			t.Fatalf("byte %d: crash never fired", k)
-		}
-		checkBatchRecovered(t, fmt.Sprintf("crash after byte %d", k), dir, acked, started)
+	for name, w := range map[string]batchWorkload{"small": smallBatches, "patched": patchedBatches} {
+		t.Run(name, func(t *testing.T) {
+			base := t.TempDir()
+			total, _, offsets := w.crashPoints(t, filepath.Join(base, "count"))
+			for _, k := range offsets {
+				dir := filepath.Join(base, fmt.Sprintf("byte-%06d", k))
+				ffs := faultinject.NewFaultFS()
+				ffs.CrashAfterBytes = k
+				acked, started := w.run(ffs, dir, nil)
+				if k < total && !ffs.Crashed() {
+					t.Fatalf("byte %d: crash never fired", k)
+				}
+				w.checkRecovered(t, fmt.Sprintf("crash after byte %d", k), dir, acked, started)
+			}
+		})
 	}
 }
 
 // TestStoreBatchCrashAtEveryOp crashes immediately before every mutating
 // filesystem op — in particular at the pre-fsync boundary (batch bytes
-// written, not yet synced) and the post-fsync boundary.
+// written, not yet synced), the post-fsync boundary, and between a
+// compaction's snapshot rename and its journal reset.
 func TestStoreBatchCrashAtEveryOp(t *testing.T) {
-	base := t.TempDir()
-	countFS := faultinject.NewFaultFS()
-	if acked, _ := runBatchCrashWorkload(countFS, filepath.Join(base, "count")); acked != len(batchWorkload) {
-		t.Fatalf("fault-free pass acked %d of %d batches", acked, len(batchWorkload))
+	for name, w := range map[string]batchWorkload{"small": smallBatches, "patched": patchedBatches} {
+		t.Run(name, func(t *testing.T) {
+			base := t.TempDir()
+			_, totalOps, _ := w.crashPoints(t, filepath.Join(base, "count"))
+			for n := 1; n <= totalOps; n++ {
+				dir := filepath.Join(base, fmt.Sprintf("op-%04d", n))
+				ffs := faultinject.NewFaultFS()
+				ffs.CrashBeforeOp = n
+				acked, started := w.run(ffs, dir, nil)
+				if !ffs.Crashed() {
+					t.Fatalf("op %d: crash never fired", n)
+				}
+				w.checkRecovered(t, fmt.Sprintf("crash before op %d", n), dir, acked, started)
+			}
+		})
 	}
-	totalOps := countFS.Counters().MutatingOps
-	for n := 1; n <= totalOps; n++ {
-		dir := filepath.Join(base, fmt.Sprintf("op-%04d", n))
-		ffs := faultinject.NewFaultFS()
-		ffs.CrashBeforeOp = n
-		acked, started := runBatchCrashWorkload(ffs, dir)
-		if !ffs.Crashed() {
-			t.Fatalf("op %d: crash never fired", n)
-		}
-		checkBatchRecovered(t, fmt.Sprintf("crash before op %d", n), dir, acked, started)
+}
+
+// TestStorePatchedWorkloadPatches pins what the patched sweep relies on:
+// its rows do journal as patches, exactly where the base rule allows.
+func TestStorePatchedWorkloadPatches(t *testing.T) {
+	dir := t.TempDir()
+	if acked, _ := patchedBatches.run(store.OS(), dir, nil); acked != len(patchedBatches.batches) {
+		t.Fatalf("fault-free pass acked %d batches", acked)
+	}
+	// After the last compaction: agent-b whole (first put into the emptied
+	// journal), then patched against its in-batch predecessor.
+	recs, _, err := store.ScanFile(store.OS(), filepath.Join(dir, store.JournalFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 2 || recs[0].Payload[0] != 1 || recs[1].Payload[0] != 3 {
+		t.Fatalf("journal after the last compaction = %d records, want a whole put then a patch", len(recs))
+	}
+	if whole, patch := len(recs[0].Payload), len(recs[1].Payload); patch*20 > whole {
+		t.Fatalf("patch record is %d bytes against a %d-byte whole put", patch, whole)
+	}
+}
+
+// TestStoreFailedBatchLeavesPatchBase: a batch the journal refused must
+// leave no trace — not in the state, not in what the next patch is cut
+// against — or the next acknowledged patch would replay onto a base the
+// journal never held.
+func TestStoreFailedBatchLeavesPatchBase(t *testing.T) {
+	dir := t.TempDir()
+	ffs := faultinject.NewFaultFS()
+	s, err := store.Open(dir, store.WithStoreFS(ffs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("agent-a", patchRow("agent-a", 0, 1)); err != nil {
+		t.Fatal(err)
+	}
+	ffs.FailWriteN = ffs.Counters().Writes + 1
+	ffs.ShortWriteBytes = 9
+	failed := []store.KV{
+		{Key: "agent-a", Value: patchRow("agent-a", 0, 2)},
+		{Key: "agent-b", Value: patchRow("agent-b", 0, 1)},
+	}
+	if err := s.PutBatch(failed); err == nil {
+		t.Fatal("short-written batch reported success")
+	}
+	if v, _ := s.Get("agent-a"); !bytes.Equal(v, patchRow("agent-a", 0, 1)) {
+		t.Fatal("a refused batch changed agent-a")
+	}
+	if _, ok := s.Get("agent-b"); ok || s.Seq() != 1 {
+		t.Fatalf("a refused batch left agent-b (present %v) or advanced Seq to %d", ok, s.Seq())
+	}
+	if err := s.Put("agent-a", patchRow("agent-a", 0, 4)); err != nil {
+		t.Fatalf("put after the refused batch: %v", err)
+	}
+	if st := s.Stats(); st.PatchedPuts != 1 || st.WholePuts != 1 {
+		t.Fatalf("stats = %d patched, %d whole, want 1 and 1", st.PatchedPuts, st.WholePuts)
+	}
+	_ = s.Close()
+	s2, err := store.Open(dir)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer func() { _ = s2.Close() }()
+	if v, _ := s2.Get("agent-a"); !bytes.Equal(v, patchRow("agent-a", 0, 4)) || s2.Len() != 1 {
+		t.Fatalf("reopened store: %d keys, agent-a intact = %v", s2.Len(), bytes.Equal(v, patchRow("agent-a", 0, 4)))
 	}
 }
 

@@ -2,9 +2,12 @@ package store
 
 // Segment streaming: the replication-ready face of the write-ahead
 // journal. Every acknowledged mutation is assigned a monotonically
-// increasing sequence number and retained in a bounded in-memory tail, so
-// a cluster peer can follow the store — pull the segments it has not yet
-// applied — without rereading the on-disk journal. A follower that has
+// increasing sequence number and its key is retained in a bounded
+// in-memory tail, so a cluster peer can follow the store — pull what
+// changed since its cursor — without rereading the on-disk journal.
+// Replication is whole-row last-writer-wins, so the tail holds no values:
+// Since answers with one segment per key touched since the cursor,
+// carrying the key's current value (or its deletion). A follower that has
 // fallen behind the tail (or that observes a new store epoch after the
 // source restarted) falls back to a full snapshot and resumes following
 // from the snapshot's sequence.
@@ -27,7 +30,9 @@ const (
 	SegDelete = opDelete
 )
 
-// Segment is one replicable store mutation.
+// Segment is one replicable store mutation: the state of Key as of the
+// Since call that returned it, numbered with the key's latest mutation.
+// Value aliases the store's copy and must not be modified.
 type Segment struct {
 	Seq   uint64 `json:"seq"`
 	Op    byte   `json:"op"`
@@ -81,25 +86,24 @@ func (s *Store) Seq() uint64 {
 	return s.seq
 }
 
-// recordSegmentLocked appends a mutation to the follow tail; s.mu held.
-func (s *Store) recordSegmentLocked(op byte, key string, value []byte) {
+// recordMutationLocked numbers one acknowledged mutation of key and
+// appends it to the follow tail; s.mu held.
+func (s *Store) recordMutationLocked(key string) {
 	s.seq++
-	if s.followCap <= 0 {
-		return
-	}
-	seg := Segment{Seq: s.seq, Op: op, Key: key}
-	if value != nil {
-		seg.Value = append([]byte(nil), value...)
-	}
-	s.tail = append(s.tail, seg)
-	// Evict the oldest retained segment by advancing tailStart instead of
+	s.tail = append(s.tail, key)
+	s.touched[key] = s.seq
+	// Evict the oldest retained mutation by advancing tailStart instead of
 	// shifting the slice: a shift costs O(followCap) per mutation, which
 	// at fleet scale is tens of millions of element copies per sweep. The
 	// dead prefix is compacted away in one move once it reaches followCap,
 	// so each element is shifted at most once (amortized O(1)) and the
-	// visible tail never exceeds followCap segments.
-	if len(s.tail)-s.tailStart > s.followCap {
-		s.tail[s.tailStart] = Segment{} // release the evicted value ref
+	// visible tail never exceeds followCap mutations.
+	if live := len(s.tail) - s.tailStart; live > s.followCap {
+		oldest := s.tail[s.tailStart]
+		if s.touched[oldest] == s.seq-uint64(live)+1 {
+			delete(s.touched, oldest) // no later mutation of this key is retained
+		}
+		s.tail[s.tailStart] = "" // release the evicted key
 		s.tailStart++
 	}
 	if s.tailStart >= s.followCap {
@@ -110,10 +114,15 @@ func (s *Store) recordSegmentLocked(op byte, key string, value []byte) {
 	}
 }
 
-// Since returns the segments after the given sequence number, in order.
-// ok is false when the cursor has fallen out of the retained tail (or is
-// from a different epoch's numbering and overruns this one) — the caller
-// must resync from SnapshotAll and resume from its sequence.
+// Since returns what changed after the given sequence number: one segment
+// per key mutated since, in order of each key's latest mutation, carrying
+// that key's current value (SegPut) or its absence (SegDelete). However
+// many times a key was written, a follower applying the segments holds
+// the source's current rows; the last segment's Seq is the store's Seq,
+// which is the cursor to resume from. ok is false when the cursor has
+// fallen out of the retained tail (or is from a different epoch's
+// numbering and overruns this one) — the caller must resync from
+// SnapshotAll and resume from its sequence.
 func (s *Store) Since(afterSeq uint64) (segs []Segment, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -130,8 +139,18 @@ func (s *Store) Since(afterSeq uint64) (segs []Segment, ok bool) {
 		return nil, false
 	}
 	start := int(afterSeq - (oldest - 1))
-	out := make([]Segment, len(live)-start)
-	copy(out, live[start:])
+	out := make([]Segment, 0, min(len(live)-start, len(s.touched)))
+	for i, key := range live[start:] {
+		seq := oldest + uint64(start+i)
+		if s.touched[key] != seq {
+			continue // superseded by a later mutation of the same key
+		}
+		seg := Segment{Seq: seq, Op: SegDelete, Key: key}
+		if v, ok := s.state[key]; ok {
+			seg.Op, seg.Value = SegPut, v
+		}
+		out = append(out, seg)
+	}
 	return out, true
 }
 

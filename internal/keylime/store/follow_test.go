@@ -1,14 +1,17 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 )
 
-// TestFollowSeqMonotonic checks that every acknowledged mutation advances
-// the sequence number and lands in the tail in order.
+// TestFollowSeqMonotonic checks the coalesced follow contract: every
+// acknowledged mutation advances the sequence number, and Since answers
+// with one segment per key touched since the cursor — the key's current
+// value or its deletion — in ascending seq order ending at Seq.
 func TestFollowSeqMonotonic(t *testing.T) {
-	s, err := Open(t.TempDir())
+	s, err := Open(t.TempDir(), WithFollowBuffer(16))
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -16,35 +19,68 @@ func TestFollowSeqMonotonic(t *testing.T) {
 	if got := s.Seq(); got != 0 {
 		t.Fatalf("fresh store Seq = %d, want 0", got)
 	}
-	for i := 0; i < 10; i++ {
-		if err := s.Put(fmt.Sprintf("k%d", i), []byte{byte(i)}); err != nil {
-			t.Fatalf("Put: %v", err)
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
 		}
 	}
-	if err := s.Delete("k0"); err != nil {
-		t.Fatalf("Delete: %v", err)
+	for i := 0; i < 4; i++ { // seq 1..4
+		must(s.Put(fmt.Sprintf("k%d", i), []byte{byte(i)}))
 	}
-	if got := s.Seq(); got != 11 {
-		t.Fatalf("Seq = %d, want 11", got)
+	for i := 0; i < 5; i++ { // seq 5..9: N writes to one key
+		must(s.Put("k1", []byte{0x10, byte(i)}))
 	}
-	segs, ok := s.Since(0)
-	if !ok {
-		t.Fatalf("Since(0) fell out of tail")
+	must(s.Delete("k0"))              // seq 10
+	must(s.Delete("k2"))              // seq 11
+	must(s.Put("k2", []byte("back"))) // seq 12: delete-then-put
+	if got := s.Seq(); got != 12 {
+		t.Fatalf("Seq = %d, want 12", got)
 	}
-	if len(segs) != 11 {
-		t.Fatalf("Since(0) returned %d segments, want 11", len(segs))
+	want := []Segment{
+		{Seq: 4, Op: SegPut, Key: "k3", Value: []byte{3}},
+		{Seq: 9, Op: SegPut, Key: "k1", Value: []byte{0x10, 4}},
+		{Seq: 10, Op: SegDelete, Key: "k0"},
+		{Seq: 12, Op: SegPut, Key: "k2", Value: []byte("back")},
 	}
-	for i, seg := range segs {
-		if seg.Seq != uint64(i+1) {
-			t.Fatalf("segment %d has seq %d, want %d", i, seg.Seq, i+1)
+	check := func(after uint64, want []Segment) {
+		t.Helper()
+		segs, ok := s.Since(after)
+		if !ok {
+			t.Fatalf("Since(%d) fell out of tail", after)
+		}
+		if len(segs) != len(want) {
+			t.Fatalf("Since(%d) = %+v, want %+v", after, segs, want)
+		}
+		for i, seg := range segs {
+			w := want[i]
+			if seg.Seq != w.Seq || seg.Op != w.Op || seg.Key != w.Key || !bytes.Equal(seg.Value, w.Value) {
+				t.Fatalf("Since(%d)[%d] = %+v, want %+v", after, i, seg, w)
+			}
+			if i > 0 && seg.Seq <= segs[i-1].Seq {
+				t.Fatalf("Since(%d) seqs not ascending: %+v", after, segs)
+			}
+		}
+		if last := segs[len(segs)-1].Seq; last != s.Seq() {
+			t.Fatalf("Since(%d) ends at seq %d, want the store's Seq %d", after, last, s.Seq())
 		}
 	}
-	if last := segs[10]; last.Op != SegDelete || last.Key != "k0" {
-		t.Fatalf("last segment = %+v, want delete of k0", last)
+	check(0, want)
+	// A cursor past k3's last write but inside k1's run still gets k1 once,
+	// with its final value.
+	check(6, want[1:])
+	// Writes that push a cursor off the 16-mutation tail force a resync.
+	for i := 0; i < 8; i++ { // seq 13..20; oldest retained is now 5
+		must(s.Put("k1", []byte{0x20, byte(i)}))
 	}
-	if seg := segs[3]; seg.Op != SegPut || seg.Key != "k3" || len(seg.Value) != 1 || seg.Value[0] != 3 {
-		t.Fatalf("segment 3 = %+v, want put k3=0x03", seg)
+	if _, ok := s.Since(3); ok {
+		t.Fatalf("Since(cursor off the tail) reported ok, want snapshot fallback")
 	}
+	check(4, []Segment{
+		{Seq: 10, Op: SegDelete, Key: "k0"},
+		{Seq: 12, Op: SegPut, Key: "k2", Value: []byte("back")},
+		{Seq: 20, Op: SegPut, Key: "k1", Value: []byte{0x20, 7}},
+	})
 }
 
 // TestFollowSincePartial checks that a cursor mid-tail returns exactly the

@@ -108,9 +108,14 @@ func OpenJournal(fsys FS, path string, opts ...JournalOption) (*Journal, [][]byt
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return nil, nil, fmt.Errorf("store: reading journal %s: %w", path, err)
 	}
-	payloads, validLen, err := scanJournal(data)
+	recs, info, err := ScanRecords(data)
 	if err != nil {
 		return nil, nil, fmt.Errorf("store: journal %s: %w", path, err)
+	}
+	validLen := info.ValidLen
+	payloads := make([][]byte, len(recs))
+	for i, r := range recs {
+		payloads[i] = r.Payload
 	}
 	f, err := fsys.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o600)
 	if err != nil {
@@ -148,46 +153,6 @@ func OpenJournal(fsys FS, path string, opts ...JournalOption) (*Journal, [][]byt
 		j.gc.start(j)
 	}
 	return j, payloads, nil
-}
-
-// scanJournal walks the on-disk bytes and returns the intact payloads and
-// the length of the valid prefix. A torn or checksum-failing tail is
-// reported via validLen < len(data), never as an error; only a corrupt
-// header (wrong magic) is fatal.
-func scanJournal(data []byte) (payloads [][]byte, validLen int64, err error) {
-	if len(data) == 0 {
-		return nil, 0, nil
-	}
-	if len(data) < journalHeaderSize {
-		// Torn header: the process died while creating the file. Nothing
-		// was ever acknowledged, so recover as empty.
-		if string(data) == journalMagic[:len(data)] {
-			return nil, 0, nil
-		}
-		return nil, 0, fmt.Errorf("%w: bad journal header", ErrCorrupt)
-	}
-	if string(data[:journalHeaderSize]) != journalMagic {
-		return nil, 0, fmt.Errorf("%w: bad journal magic", ErrCorrupt)
-	}
-	off := int64(journalHeaderSize)
-	for off < int64(len(data)) {
-		rest := data[off:]
-		if len(rest) < recordHeaderSize {
-			break // torn record header
-		}
-		length := binary.BigEndian.Uint32(rest[:4])
-		sum := binary.BigEndian.Uint32(rest[4:8])
-		if length > maxRecordSize || int64(len(rest)) < recordHeaderSize+int64(length) {
-			break // garbage length or torn payload
-		}
-		payload := rest[recordHeaderSize : recordHeaderSize+int64(length)]
-		if crc32.Checksum(payload, crcTable) != sum {
-			break // torn write inside the payload
-		}
-		payloads = append(payloads, append([]byte(nil), payload...))
-		off += recordHeaderSize + int64(length)
-	}
-	return payloads, off, nil
 }
 
 // encodeRecord frames one payload.

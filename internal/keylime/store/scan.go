@@ -31,18 +31,22 @@ type ScanInfo struct {
 	ValidLen int64
 }
 
-// ScanRecords walks raw journal bytes and returns every intact record
-// with its byte offset. Unlike OpenJournal it never opens the file for
-// append or truncates anything, so it is safe to point at a live
-// journal owned by another process. A torn or checksum-failing tail
-// ends the scan (reflected in ScanInfo.ValidLen); only a corrupt header
-// is an error.
+// ScanRecords is the one frame walker: it walks raw journal bytes and
+// returns every intact record with its byte offset. It never opens the
+// file for append or truncates anything (OpenJournal does that, with what
+// this reports), so it is safe to point at a live journal owned by
+// another process. A torn or checksum-failing tail ends the scan
+// (reflected in ScanInfo.ValidLen), never as an error: appends are
+// sequential and synced, so nothing past the first invalid record was
+// acknowledged. Only a corrupt header (wrong magic) is an error.
 func ScanRecords(data []byte) ([]ScannedRecord, ScanInfo, error) {
 	info := ScanInfo{FileSize: int64(len(data))}
 	if len(data) == 0 {
 		return nil, info, nil
 	}
 	if len(data) < journalHeaderSize {
+		// Torn header: the process died while creating the file. Nothing
+		// was ever acknowledged, so scan as empty.
 		if string(data) == journalMagic[:len(data)] {
 			return nil, info, nil
 		}
@@ -56,16 +60,16 @@ func ScanRecords(data []byte) ([]ScannedRecord, ScanInfo, error) {
 	for off < int64(len(data)) {
 		rest := data[off:]
 		if len(rest) < recordHeaderSize {
-			break
+			break // torn record header
 		}
 		length := binary.BigEndian.Uint32(rest[:4])
 		sum := binary.BigEndian.Uint32(rest[4:8])
 		if length > maxRecordSize || int64(len(rest)) < recordHeaderSize+int64(length) {
-			break
+			break // garbage length or torn payload
 		}
 		payload := rest[recordHeaderSize : recordHeaderSize+int64(length)]
 		if crc32.Checksum(payload, crcTable) != sum {
-			break
+			break // torn write inside the payload
 		}
 		recs = append(recs, ScannedRecord{
 			Index:   len(recs),
@@ -77,6 +81,23 @@ func ScanRecords(data []byte) ([]ScannedRecord, ScanInfo, error) {
 	info.ValidLen = off
 	return recs, info, nil
 }
+
+// ReplayError reports the journal record a replay (Open, LoadState) could
+// not apply: its frame is intact but its mutation is not — an unknown op,
+// a patch that does not rebuild its checksummed result. Index and Offset
+// locate the frame, so a forensic walk can name the record instead of
+// failing as a whole.
+type ReplayError struct {
+	Index  int
+	Offset int64
+	Err    error
+}
+
+func (e *ReplayError) Error() string {
+	return fmt.Sprintf("record %d at offset %d: %v", e.Index, e.Offset, e.Err)
+}
+
+func (e *ReplayError) Unwrap() error { return e.Err }
 
 // ScanFile reads and scans the journal at path via ScanRecords. A
 // missing file scans as empty only if the FS reports it so; callers
@@ -99,49 +120,27 @@ func ScanFile(fsys FS, path string) ([]ScannedRecord, ScanInfo, error) {
 // process, and exactly what offline forensic tools (verify-chain) need
 // to inspect journaled state the way recovery would see it.
 func LoadState(fsys FS, dir string) (map[string][]byte, error) {
-	state := make(map[string][]byte)
-	apply := func(p []byte) error {
-		op, key, value, err := decodeMutation(p)
-		if err != nil {
-			return err
-		}
-		switch op {
-		case opPut:
-			state[key] = value
-		case opDelete:
-			delete(state, key)
-		default:
-			return fmt.Errorf("%w: unknown op %d", ErrCorrupt, op)
-		}
-		return nil
-	}
-	snapPath := filepath.Join(dir, SnapshotFile)
-	if data, err := fsys.ReadFile(snapPath); err == nil {
-		recs, info, serr := ScanRecords(data)
-		if serr != nil || info.ValidLen != info.FileSize {
-			return nil, fmt.Errorf("store: %w: snapshot %s", ErrCorrupt, snapPath)
-		}
-		for _, r := range recs {
-			if err := apply(r.Payload); err != nil {
-				return nil, fmt.Errorf("store: snapshot %s: %w", snapPath, err)
-			}
-		}
-	} else if !errors.Is(err, fs.ErrNotExist) {
-		return nil, fmt.Errorf("store: reading snapshot: %w", err)
+	r := newReplay()
+	if err := r.loadSnapshot(fsys, dir); err != nil {
+		return nil, err
 	}
 	jPath := filepath.Join(dir, JournalFile)
-	if data, err := fsys.ReadFile(jPath); err == nil {
-		recs, _, serr := ScanRecords(data)
-		if serr != nil {
-			return nil, fmt.Errorf("store: %s: %w", jPath, serr)
-		}
-		for _, r := range recs {
-			if err := apply(r.Payload); err != nil {
-				return nil, fmt.Errorf("store: journal %s: %w", jPath, err)
-			}
-		}
-	} else if !errors.Is(err, fs.ErrNotExist) {
+	data, err := fsys.ReadFile(jPath)
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return nil, fmt.Errorf("store: reading journal: %w", err)
+	}
+	recs, _, err := ScanRecords(data)
+	if err != nil {
+		return nil, fmt.Errorf("store: %s: %w", jPath, err)
+	}
+	for _, rec := range recs {
+		if _, _, err := r.apply(rec); err != nil {
+			return nil, fmt.Errorf("store: journal %s: %w", jPath, &ReplayError{Index: rec.Index, Offset: rec.Offset, Err: err})
+		}
+	}
+	state, err := r.finish()
+	if err != nil {
+		return nil, fmt.Errorf("store: journal %s: %w", jPath, err)
 	}
 	return state, nil
 }

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -23,35 +22,43 @@ import (
 //
 // Recovery = strict-parse the snapshot (it only ever appears via rename,
 // so it is never torn), then replay the journal with torn-tail
-// truncation. Replay is last-writer-wins per key, so a crash between the
-// snapshot rename and the journal reset — which leaves the journal
-// holding records the snapshot already covers — is harmless.
+// truncation. A put is journaled as a patch against the key's previous
+// value when that is the smaller record (see mutation.go), but only once
+// the current journal file already holds a whole put for the key: the
+// journal's records for a key then never depend on the snapshot, so a
+// crash between the snapshot rename and the journal reset — which leaves
+// a stale journal over a newer snapshot — replays each touched key from
+// its own whole put forward and converges to the snapshot's state.
 type Store struct {
 	fsys FS
 	dir  string
 
-	mu          sync.Mutex
-	state       map[string][]byte
+	mu    sync.Mutex
+	state map[string][]byte
+	// based holds the keys the current journal file has a whole put for
+	// (and no later delete): the only keys whose next put may be a patch.
+	// Emptied with the journal on compaction.
+	based map[string]struct{}
+	// liveBytes is the size of the snapshot the state would compact to.
+	liveBytes   int64
 	journal     *Journal
 	autoCompact int
 	compactions int
+	wholePuts   int
+	patchedPuts int
 	recovery    RecoveryInfo
 
 	// Follow/replication state (see follow.go): epoch identifies this
-	// open, seq numbers acknowledged mutations, tail retains the most
-	// recent followCap of them for streaming to cluster standbys.
+	// open, seq numbers acknowledged mutations, tail names the keys of the
+	// most recent followCap of them for streaming to cluster standbys, and
+	// touched maps each of those keys to its latest seq.
 	epoch     uint64
 	seq       uint64
-	tail      []Segment
-	tailStart int // first live element of tail; trimmed lazily, see recordSegmentLocked
+	tail      []string
+	tailStart int // first live element of tail; trimmed lazily, see recordMutationLocked
+	touched   map[string]uint64
 	followCap int
 }
-
-// Mutation ops in journal/snapshot payloads.
-const (
-	opPut    = 1
-	opDelete = 2
-)
 
 // Store file names.
 const (
@@ -63,9 +70,10 @@ const (
 // StoreOption configures Open.
 type StoreOption func(*Store)
 
-// WithAutoCompact compacts the journal into a snapshot whenever its
-// record count exceeds max(n, 2×keys). n <= 0 disables auto-compaction
-// (Compact can still be called explicitly). Default 4096.
+// WithAutoCompact compacts the journal into a snapshot whenever it holds
+// more than n records and more than twice the bytes of the live state.
+// n <= 0 disables auto-compaction (Compact can still be called
+// explicitly). Default 4096.
 func WithAutoCompact(n int) StoreOption {
 	return func(s *Store) { s.autoCompact = n }
 }
@@ -81,9 +89,10 @@ func Open(dir string, opts ...StoreOption) (*Store, error) {
 	s := &Store{
 		fsys:        OS(),
 		dir:         dir,
-		state:       make(map[string][]byte),
+		based:       make(map[string]struct{}),
 		autoCompact: 4096,
 		epoch:       newStoreEpoch(),
+		touched:     make(map[string]uint64),
 		followCap:   defaultFollowBuffer,
 	}
 	for _, opt := range opts {
@@ -99,105 +108,80 @@ func Open(dir string, opts ...StoreOption) (*Store, error) {
 			return nil, fmt.Errorf("store: removing stale %s: %w", snapshotTmpFile, err)
 		}
 	}
-	snapPath := filepath.Join(dir, SnapshotFile)
-	if data, err := s.fsys.ReadFile(snapPath); err == nil {
-		entries, validLen, serr := scanJournal(data)
-		if serr != nil || validLen != int64(len(data)) {
-			// Snapshots are written whole and installed by rename; a torn
-			// or trailing-garbage snapshot is corruption, not a crash.
-			return nil, fmt.Errorf("store: %w: snapshot %s", ErrCorrupt, snapPath)
-		}
-		for _, e := range entries {
-			if err := s.applyPayload(e); err != nil {
-				return nil, fmt.Errorf("store: snapshot %s: %w", snapPath, err)
-			}
-		}
-	} else if !errors.Is(err, fs.ErrNotExist) {
-		return nil, fmt.Errorf("store: reading snapshot: %w", err)
+	r := newReplay()
+	if err := r.loadSnapshot(s.fsys, dir); err != nil {
+		return nil, err
 	}
 	j, payloads, err := OpenJournal(s.fsys, filepath.Join(dir, JournalFile))
 	if err != nil {
 		return nil, err
 	}
-	for _, p := range payloads {
-		if err := s.applyPayload(p); err != nil {
+	offset := int64(journalHeaderSize)
+	for i, p := range payloads {
+		op, key, err := r.apply(ScannedRecord{Index: i, Offset: offset, Payload: p})
+		if err != nil {
 			_ = j.Close()
-			return nil, fmt.Errorf("store: journal replay: %w", err)
+			return nil, fmt.Errorf("store: journal replay: %w", &ReplayError{Index: i, Offset: offset, Err: err})
 		}
+		switch op {
+		case opPut:
+			s.based[key] = struct{}{}
+		case opDelete:
+			delete(s.based, key)
+		}
+		offset += int64(recordHeaderSize + len(p))
+	}
+	if s.state, err = r.finish(); err != nil {
+		_ = j.Close()
+		return nil, fmt.Errorf("store: journal replay: %w", err)
+	}
+	for k, v := range s.state {
+		s.liveBytes += rowBytes(k, v)
 	}
 	s.journal = j
 	s.recovery = j.Recovery()
 	return s, nil
 }
 
-// applyPayload decodes one mutation record into the state map.
-func (s *Store) applyPayload(p []byte) error {
-	op, key, value, err := decodeMutation(p)
-	if err != nil {
-		return err
+// loadSnapshot strict-parses dir's snapshot, if there is one. Snapshots
+// are written whole and installed by rename; a torn or trailing-garbage
+// snapshot is corruption, not a crash.
+func (r *replay) loadSnapshot(fsys FS, dir string) error {
+	snapPath := filepath.Join(dir, SnapshotFile)
+	data, err := fsys.ReadFile(snapPath)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
 	}
-	switch op {
-	case opPut:
-		s.state[key] = value
-	case opDelete:
-		delete(s.state, key)
-	default:
-		return fmt.Errorf("%w: unknown op %d", ErrCorrupt, op)
+	if err != nil {
+		return fmt.Errorf("store: reading snapshot: %w", err)
+	}
+	recs, info, serr := ScanRecords(data)
+	if serr != nil || info.ValidLen != info.FileSize {
+		return fmt.Errorf("store: %w: snapshot %s", ErrCorrupt, snapPath)
+	}
+	for _, rec := range recs {
+		if _, _, err := r.apply(rec); err != nil {
+			return fmt.Errorf("store: snapshot %s: %w", snapPath, err)
+		}
 	}
 	return nil
 }
 
-// encodeMutation frames op/key/value into a journal payload.
-func encodeMutation(op byte, key string, value []byte) []byte {
-	buf := make([]byte, 0, 5+len(key)+len(value))
-	buf = append(buf, op)
-	var klen [4]byte
-	binary.BigEndian.PutUint32(klen[:], uint32(len(key)))
-	buf = append(buf, klen[:]...)
-	buf = append(buf, key...)
-	buf = append(buf, value...)
-	return buf
-}
-
-// decodeMutation is the inverse of encodeMutation.
-func decodeMutation(p []byte) (op byte, key string, value []byte, err error) {
-	if len(p) < 5 {
-		return 0, "", nil, fmt.Errorf("%w: mutation record too short", ErrCorrupt)
-	}
-	op = p[0]
-	klen := binary.BigEndian.Uint32(p[1:5])
-	if int(klen) > len(p)-5 {
-		return 0, "", nil, fmt.Errorf("%w: mutation key overruns record", ErrCorrupt)
-	}
-	key = string(p[5 : 5+klen])
-	value = append([]byte(nil), p[5+klen:]...)
-	return op, key, value, nil
+// rowBytes is what one key costs in a snapshot: a framed whole put.
+func rowBytes(key string, value []byte) int64 {
+	return int64(recordHeaderSize + mutationHeaderSize + len(key) + len(value))
 }
 
 // Put durably records key = value. When Put returns nil the mutation has
 // been journaled and fsynced; a crash at any later point preserves it.
 func (s *Store) Put(key string, value []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.journal.Append(encodeMutation(opPut, key, value)); err != nil {
-		return err
-	}
-	s.state[key] = append([]byte(nil), value...)
-	s.recordSegmentLocked(opPut, key, value)
-	return s.maybeCompactLocked()
+	return s.PutBatch([]KV{{Key: key, Value: value}})
 }
 
 // Delete durably removes a key. Deleting an absent key is a no-op that
 // still journals (replay stays idempotent either way).
 func (s *Store) Delete(key string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.journal.Append(encodeMutation(opDelete, key, nil)); err != nil {
-		return err
-	}
-	delete(s.state, key)
-	s.recordSegmentLocked(opDelete, key, nil)
-	return s.maybeCompactLocked()
+	return s.PutBatch([]KV{{Key: key, Delete: true}})
 }
 
 // KV is one mutation in a PutBatch: a put of Value under Key, or a
@@ -220,27 +204,61 @@ func (s *Store) PutBatch(ops []KV) error {
 	if len(ops) == 0 {
 		return nil
 	}
-	payloads := make([][]byte, len(ops))
-	for i, op := range ops {
-		if op.Delete {
-			payloads[i] = encodeMutation(opDelete, op.Key, nil)
-		} else {
-			payloads[i] = encodeMutation(opPut, op.Key, op.Value)
-		}
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	// staged is each touched key's value as of the ops encoded so far, so a
+	// key written twice in the batch patches against its in-batch
+	// predecessor (which replay will have applied first) and a put after
+	// an in-batch delete has no base. Nothing reaches s.state until the
+	// journal has acknowledged the batch.
+	type stagedRow struct {
+		value     []byte
+		present   bool
+		patchable bool
+	}
+	staged := make(map[string]stagedRow, len(ops))
+	payloads := make([][]byte, len(ops))
+	whole, patched := 0, 0
+	for i, op := range ops {
+		if op.Delete {
+			payloads[i] = encodeDelete(op.Key)
+			staged[op.Key] = stagedRow{}
+			continue
+		}
+		cur, ok := staged[op.Key]
+		if !ok {
+			cur.value, cur.present = s.state[op.Key]
+			_, cur.patchable = s.based[op.Key]
+		}
+		payload, kept, isPatch := encodePut(op.Key, cur.value, op.Value, cur.present && cur.patchable)
+		if isPatch {
+			patched++
+		} else {
+			whole++
+		}
+		payloads[i] = payload
+		staged[op.Key] = stagedRow{value: kept, present: true, patchable: true}
+	}
 	if err := s.journal.AppendBatch(payloads); err != nil {
 		return err
 	}
-	for _, op := range ops {
-		if op.Delete {
-			delete(s.state, op.Key)
-			s.recordSegmentLocked(opDelete, op.Key, nil)
-		} else {
-			s.state[op.Key] = append([]byte(nil), op.Value...)
-			s.recordSegmentLocked(opPut, op.Key, op.Value)
+	for key, row := range staged {
+		if old, ok := s.state[key]; ok {
+			s.liveBytes -= rowBytes(key, old)
 		}
+		if row.present {
+			s.state[key] = row.value
+			s.based[key] = struct{}{}
+			s.liveBytes += rowBytes(key, row.value)
+		} else {
+			delete(s.state, key)
+			delete(s.based, key)
+		}
+	}
+	s.wholePuts += whole
+	s.patchedPuts += patched
+	for _, op := range ops {
+		s.recordMutationLocked(op.Key)
 	}
 	return s.maybeCompactLocked()
 }
@@ -277,14 +295,10 @@ func (s *Store) All() map[string][]byte {
 // maybeCompactLocked runs a compaction when the journal has outgrown the
 // live state.
 func (s *Store) maybeCompactLocked() error {
-	if s.autoCompact <= 0 {
+	if s.autoCompact <= 0 || s.journal.Records() <= s.autoCompact {
 		return nil
 	}
-	threshold := s.autoCompact
-	if t := 2 * len(s.state); t > threshold {
-		threshold = t
-	}
-	if s.journal.Records() <= threshold {
+	if s.journal.Size()-int64(journalHeaderSize) <= 2*s.liveBytes {
 		return nil
 	}
 	return s.compactLocked()
@@ -294,7 +308,7 @@ func (s *Store) maybeCompactLocked() error {
 // rename, directory sync) and resets the journal. A crash before the
 // rename leaves the old snapshot + full journal; a crash between the
 // rename and the reset leaves the new snapshot + a journal whose replay
-// is idempotent over it. No window loses an acknowledged mutation.
+// converges to it (see Store). No window loses an acknowledged mutation.
 func (s *Store) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -304,7 +318,8 @@ func (s *Store) Compact() error {
 func (s *Store) compactLocked() error {
 	payloads := make([][]byte, 0, len(s.state))
 	for k, v := range s.state {
-		payloads = append(payloads, encodeMutation(opPut, k, v))
+		payload, _, _ := encodePut(k, nil, v, false)
+		payloads = append(payloads, payload)
 	}
 	tmp := filepath.Join(s.dir, snapshotTmpFile)
 	snap := filepath.Join(s.dir, SnapshotFile)
@@ -312,6 +327,8 @@ func (s *Store) compactLocked() error {
 		return fmt.Errorf("store: writing snapshot: %w", err)
 	}
 	s.compactions++
+	// The journal is about to be empty: every key's next put is whole.
+	clear(s.based)
 	return s.journal.Reset()
 }
 
@@ -321,6 +338,10 @@ type Stats struct {
 	JournalRecords int
 	JournalBytes   int64
 	Compactions    int
+	// WholePuts / PatchedPuts count the puts journaled this open as a
+	// whole value and as a patch against the previous one.
+	WholePuts   int
+	PatchedPuts int
 	// Recovery is what the last Open found (intact records, torn bytes
 	// truncated).
 	Recovery RecoveryInfo
@@ -335,6 +356,8 @@ func (s *Store) Stats() Stats {
 		JournalRecords: s.journal.Records(),
 		JournalBytes:   s.journal.Size(),
 		Compactions:    s.compactions,
+		WholePuts:      s.wholePuts,
+		PatchedPuts:    s.patchedPuts,
 		Recovery:       s.recovery,
 	}
 }

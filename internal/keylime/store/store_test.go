@@ -116,6 +116,40 @@ func TestStoreAutoCompact(t *testing.T) {
 	}
 }
 
+// TestStoreAutoCompactCountsBytes: the trigger is journal bytes against
+// live bytes, so a journal of patches — many records, few bytes — is left
+// alone where the same number of whole puts compacts.
+func TestStoreAutoCompactCountsBytes(t *testing.T) {
+	cold := bytes.Repeat([]byte("policy-line "), 400)
+	row := func(i int) []byte {
+		return append(append([]byte(nil), cold...), fmt.Sprintf("attestations:%06d", i)...)
+	}
+	s := openS(t, t.TempDir(), store.WithAutoCompact(8))
+	defer func() { _ = s.Close() }()
+	for i := 0; i < 100; i++ {
+		if err := s.Put("k", row(i)); err != nil {
+			t.Fatalf("Put: %v", err)
+		}
+	}
+	st := s.Stats()
+	if st.Compactions != 0 || st.PatchedPuts != 99 || st.JournalRecords != 100 {
+		t.Fatalf("100 puts of one 4.8 KB row: %+v, want no compaction", st)
+	}
+	if st.JournalBytes > 2*int64(len(cold)) {
+		t.Fatalf("journal holds %d bytes for one %d-byte row and 99 counter changes", st.JournalBytes, len(cold))
+	}
+	// Whole puts (each row unlike the last) reach twice the live bytes
+	// within a few records.
+	for i := 0; i < 12; i++ {
+		if err := s.Put("k", bytes.Repeat([]byte{byte('a' + i)}, len(cold))); err != nil {
+			t.Fatalf("Put: %v", err)
+		}
+	}
+	if st := s.Stats(); st.Compactions == 0 {
+		t.Fatalf("whole puts past 2x the live bytes never compacted: %+v", st)
+	}
+}
+
 func TestStoreCorruptSnapshotRejected(t *testing.T) {
 	dir := t.TempDir()
 	s := openS(t, dir)

@@ -21,11 +21,8 @@ func (v *Verifier) ExportAgents(ids []string) ([]AgentState, error) {
 			continue
 		}
 		a.mu.Lock()
-		as, err := exportAgentLocked(a)
+		as := exportAgentLocked(a)
 		a.mu.Unlock()
-		if err != nil {
-			return nil, err
-		}
 		if as != nil {
 			out = append(out, *as)
 		}
@@ -55,8 +52,9 @@ func (v *Verifier) ExportWhere(pred func(agentID string) bool) ([]AgentState, er
 // a failover that is re-homing a dead node's fleet.
 func (v *Verifier) ImportAgents(states []AgentState, replace bool) []RestoreError {
 	var skipped []RestoreError
+	parsed := make(map[string]*policySlot)
 	for _, as := range states {
-		a, err := restoreAgent(as)
+		a, err := restoreAgent(as, parsed)
 		if err != nil {
 			skipped = append(skipped, newRestoreError(as.AgentID, err))
 			continue

@@ -76,13 +76,24 @@ func (v *Verifier) SetShadowPolicy(agentID string, gen uint64, pol *policy.Runti
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownAgent, agentID)
 	}
-	cloned := pol.Clone()
+	// The rollout controller re-applies its stage on every tick: answer the
+	// already-installed case before paying for a clone and an encoding.
+	a.mu.Lock()
+	installed := a.shadowPol != nil && a.shadowGen == gen
+	a.mu.Unlock()
+	if installed {
+		return nil
+	}
+	slot, err := installPolicy(pol)
+	if err != nil {
+		return err
+	}
 	a.mu.Lock()
 	if a.shadowPol != nil && a.shadowGen == gen {
 		a.mu.Unlock()
 		return nil
 	}
-	a.shadowPol = cloned
+	a.shadowPol = slot
 	a.shadowGen = gen
 	a.shadowRounds = 0
 	a.shadowClean = 0
@@ -144,13 +155,22 @@ func (v *Verifier) InstallPolicyGeneration(agentID string, gen uint64, pol *poli
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownAgent, agentID)
 	}
-	cloned := pol.Clone()
+	a.mu.Lock()
+	installed := a.policyGen == gen && gen != 0
+	a.mu.Unlock()
+	if installed {
+		return nil
+	}
+	slot, err := installPolicy(pol)
+	if err != nil {
+		return err
+	}
 	a.mu.Lock()
 	if a.policyGen == gen && gen != 0 {
 		a.mu.Unlock()
 		return nil
 	}
-	a.pol = cloned
+	a.pol = slot
 	a.policyGen = gen
 	// Provenance belongs to the bundle that carried this policy; the
 	// controller re-attaches it via SetPolicyEnvelope after a sealed

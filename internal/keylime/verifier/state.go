@@ -52,37 +52,44 @@ type AgentState struct {
 	AgentID string `json:"agent_id"`
 	URL     string `json:"url"`
 	// AKPub is base64 PKIX DER.
-	AKPub  string          `json:"ak_pub"`
-	Policy json.RawMessage `json:"policy"`
-	State  int             `json:"state"`
-	Halted bool            `json:"halted"`
+	AKPub string `json:"ak_pub"`
+	// The cold blobs — golden values, the active policy, its provenance
+	// envelope, the shadow candidate — come before every counter: rows
+	// decode by name, so the order is free, and with the bytes that change
+	// only on an update day in front, two consecutive rows of an agent
+	// differ in one short run near the end, which is what the state store
+	// journals (store.Store patches a row against its predecessor).
+	//
+	// BootGolden maps PCR index to hex digest.
+	BootGolden map[int]string  `json:"boot_golden,omitempty"`
+	Policy     json.RawMessage `json:"policy"`
+	// PolicyEnvelope is the DSSE envelope that sealed the active policy's
+	// rollout bundle (chain-of-custody provenance), absent for unmanaged
+	// or rolled-back policies. It is carried opaque but must at least
+	// parse as an envelope: an undecodable one is a corrupt row.
+	PolicyEnvelope json.RawMessage `json:"policy_envelope,omitempty"`
+	ShadowPolicy   json.RawMessage `json:"shadow_policy,omitempty"`
+	State          int             `json:"state"`
+	Halted         bool            `json:"halted"`
 	// NextOffset / PrefixAggregate are the verification frontier.
 	NextOffset      int            `json:"next_offset"`
 	PrefixAggregate string         `json:"prefix_aggregate"`
 	Attestations    int            `json:"attestations"`
 	Failures        []FailureState `json:"failures,omitempty"`
-	// BootGolden maps PCR index to hex digest.
-	BootGolden map[int]string `json:"boot_golden,omitempty"`
 	// Transient-fault tracking state.
 	ConsecutiveFaults int              `json:"consecutive_faults,omitempty"`
 	Faults            []FaultState     `json:"faults,omitempty"`
 	Breaker           *BreakerSnapshot `json:"breaker,omitempty"`
-	// Rollout state: the active policy's generation and the shadow slot.
-	// Persisting both means a verifier restart mid-rollout resumes shadow
-	// evaluation (and generation idempotency) instead of silently dropping
-	// the candidate.
-	PolicyGeneration uint64 `json:"policy_generation,omitempty"`
-	// PolicyEnvelope is the DSSE envelope that sealed the active policy's
-	// rollout bundle (chain-of-custody provenance), absent for unmanaged
-	// or rolled-back policies. It is carried opaque but must at least
-	// parse as an envelope: an undecodable one is a corrupt row.
-	PolicyEnvelope    json.RawMessage `json:"policy_envelope,omitempty"`
-	ShadowGeneration  uint64          `json:"shadow_generation,omitempty"`
-	ShadowPolicy      json.RawMessage `json:"shadow_policy,omitempty"`
-	ShadowRounds      int             `json:"shadow_rounds,omitempty"`
-	ShadowCleanRounds int             `json:"shadow_clean_rounds,omitempty"`
-	ShadowWouldFail   int             `json:"shadow_would_fail,omitempty"`
-	ShadowWouldPass   int             `json:"shadow_would_pass,omitempty"`
+	// Rollout state: the active policy's generation and the shadow slot's
+	// counters. Persisting both means a verifier restart mid-rollout
+	// resumes shadow evaluation (and generation idempotency) instead of
+	// silently dropping the candidate.
+	PolicyGeneration  uint64 `json:"policy_generation,omitempty"`
+	ShadowGeneration  uint64 `json:"shadow_generation,omitempty"`
+	ShadowRounds      int    `json:"shadow_rounds,omitempty"`
+	ShadowCleanRounds int    `json:"shadow_clean_rounds,omitempty"`
+	ShadowWouldFail   int    `json:"shadow_would_fail,omitempty"`
+	ShadowWouldPass   int    `json:"shadow_would_pass,omitempty"`
 	// Attestation-session state (see session.go). A restored session is
 	// NEVER resumed on the MAC fast path: restoreAgent marks it
 	// force-full, so the restoring verifier (restart or cluster
@@ -113,11 +120,8 @@ func (v *Verifier) ExportState() (Snapshot, error) {
 	var st Snapshot
 	for _, a := range v.agents.snapshot() {
 		a.mu.Lock()
-		as, err := exportAgentLocked(a)
+		as := exportAgentLocked(a)
 		a.mu.Unlock()
-		if err != nil {
-			return Snapshot{}, err
-		}
 		if as != nil {
 			st.Agents = append(st.Agents, *as)
 		}
@@ -126,78 +130,69 @@ func (v *Verifier) ExportState() (Snapshot, error) {
 }
 
 // exportAgentLocked serializes one agent; a.mu must be held. Returns nil
-// for an agent removed after the shard snapshot was taken.
-func exportAgentLocked(a *monitored) (*AgentState, error) {
+// for an agent removed after the shard snapshot was taken. The policies
+// are not encoded here: the row carries the slots' install-time JSON.
+func exportAgentLocked(a *monitored) *AgentState {
 	if a.removed {
-		return nil, nil
+		return nil
 	}
-	{
-		polJSON, err := json.Marshal(a.pol)
-		if err != nil {
-			return nil, fmt.Errorf("verifier: serializing policy for %s: %w", a.id, err)
-		}
-		as := AgentState{
-			AgentID:         a.id,
-			URL:             a.url,
-			AKPub:           base64.StdEncoding.EncodeToString(a.akPub),
-			Policy:          polJSON,
-			State:           int(a.state),
-			Halted:          a.halted,
-			NextOffset:      a.nextOffset,
-			PrefixAggregate: hex.EncodeToString(a.prefixAggregate[:]),
-			Attestations:    a.attestations,
-		}
-		for _, f := range a.failures {
-			as.Failures = append(as.Failures, FailureState{
-				Time: f.Time, Type: int(f.Type), Path: f.Path, Detail: f.Detail,
-			})
-		}
-		as.ConsecutiveFaults = a.consecutiveFaults
-		for _, f := range a.faults {
-			as.Faults = append(as.Faults, FaultState{
-				Time: f.Time, Attempts: f.Attempts, Detail: f.Detail,
-			})
-		}
-		if a.breaker.state != BreakerClosed || a.breaker.opens > 0 {
-			as.Breaker = &BreakerSnapshot{
-				State:     int(a.breaker.state),
-				OpenUntil: a.breaker.openUntil,
-				IntervalS: a.breaker.interval.Seconds(),
-				Opens:     a.breaker.opens,
-			}
-		}
-		if a.bootGolden != nil {
-			as.BootGolden = make(map[int]string, len(a.bootGolden))
-			for pcr, d := range a.bootGolden {
-				as.BootGolden[pcr] = hex.EncodeToString(d[:])
-			}
-		}
-		as.PolicyGeneration = a.policyGen
-		as.PolicyEnvelope = a.polEnvelope
-		as.LastCheckLevel = int(a.lastCheck)
-		if s := a.sess; s != nil {
-			as.SessionID = hex.EncodeToString(s.id[:])
-			as.SessionKey = base64.StdEncoding.EncodeToString(s.key[:])
-			t := s.established
-			as.SessionEstablished = &t
-			as.SessionRounds = s.roundsSinceFull
-			as.SessionComposite = hex.EncodeToString(s.composite[:])
-			as.SessionTotal = s.total
-		}
-		if a.shadowPol != nil {
-			shadowJSON, err := json.Marshal(a.shadowPol)
-			if err != nil {
-				return nil, fmt.Errorf("verifier: serializing shadow policy for %s: %w", a.id, err)
-			}
-			as.ShadowPolicy = shadowJSON
-			as.ShadowGeneration = a.shadowGen
-			as.ShadowRounds = a.shadowRounds
-			as.ShadowCleanRounds = a.shadowClean
-			as.ShadowWouldFail = a.shadowWouldFail
-			as.ShadowWouldPass = a.shadowWouldPass
-		}
-		return &as, nil
+	as := AgentState{
+		AgentID:         a.id,
+		URL:             a.url,
+		AKPub:           base64.StdEncoding.EncodeToString(a.akPub),
+		Policy:          a.pol.json,
+		State:           int(a.state),
+		Halted:          a.halted,
+		NextOffset:      a.nextOffset,
+		PrefixAggregate: hex.EncodeToString(a.prefixAggregate[:]),
+		Attestations:    a.attestations,
 	}
+	for _, f := range a.failures {
+		as.Failures = append(as.Failures, FailureState{
+			Time: f.Time, Type: int(f.Type), Path: f.Path, Detail: f.Detail,
+		})
+	}
+	as.ConsecutiveFaults = a.consecutiveFaults
+	for _, f := range a.faults {
+		as.Faults = append(as.Faults, FaultState{
+			Time: f.Time, Attempts: f.Attempts, Detail: f.Detail,
+		})
+	}
+	if a.breaker.state != BreakerClosed || a.breaker.opens > 0 {
+		as.Breaker = &BreakerSnapshot{
+			State:     int(a.breaker.state),
+			OpenUntil: a.breaker.openUntil,
+			IntervalS: a.breaker.interval.Seconds(),
+			Opens:     a.breaker.opens,
+		}
+	}
+	if a.bootGolden != nil {
+		as.BootGolden = make(map[int]string, len(a.bootGolden))
+		for pcr, d := range a.bootGolden {
+			as.BootGolden[pcr] = hex.EncodeToString(d[:])
+		}
+	}
+	as.PolicyGeneration = a.policyGen
+	as.PolicyEnvelope = a.polEnvelope
+	as.LastCheckLevel = int(a.lastCheck)
+	if s := a.sess; s != nil {
+		as.SessionID = hex.EncodeToString(s.id[:])
+		as.SessionKey = base64.StdEncoding.EncodeToString(s.key[:])
+		t := s.established
+		as.SessionEstablished = &t
+		as.SessionRounds = s.roundsSinceFull
+		as.SessionComposite = hex.EncodeToString(s.composite[:])
+		as.SessionTotal = s.total
+	}
+	if a.shadowPol != nil {
+		as.ShadowPolicy = a.shadowPol.json
+		as.ShadowGeneration = a.shadowGen
+		as.ShadowRounds = a.shadowRounds
+		as.ShadowCleanRounds = a.shadowClean
+		as.ShadowWouldFail = a.shadowWouldFail
+		as.ShadowWouldPass = a.shadowWouldPass
+	}
+	return &as
 }
 
 // AgentCount reports the number of agents in the monitored table.
@@ -207,8 +202,10 @@ func (v *Verifier) AgentCount() int { return v.agents.len() }
 // the incremental counterpart of ExportState, sized to what one sweep
 // actually changed instead of the whole fleet. It returns the changed
 // agents' states plus the IDs of agents that were removed (or vanished)
-// since the last export. On a serialization error nothing is drained —
-// every ID is re-marked dirty so no mutation is lost to a failed persist.
+// since the last export. The error result is always nil — a row carries
+// its policies pre-encoded, nothing is serialized here that can fail — and
+// stays because callers are written against it; the same holds for
+// ExportState and ExportAgents.
 func (v *Verifier) ExportDirty() (changed []AgentState, removed []string, err error) {
 	v.dirtyMu.Lock()
 	ids := make([]string, 0, len(v.dirty))
@@ -225,16 +222,8 @@ func (v *Verifier) ExportDirty() (changed []AgentState, removed []string, err er
 			continue
 		}
 		a.mu.Lock()
-		as, aerr := exportAgentLocked(a)
+		as := exportAgentLocked(a)
 		a.mu.Unlock()
-		if aerr != nil {
-			v.dirtyMu.Lock()
-			for _, rid := range ids {
-				v.dirty[rid] = struct{}{}
-			}
-			v.dirtyMu.Unlock()
-			return nil, nil, aerr
-		}
 		if as == nil {
 			removed = append(removed, id)
 			continue
@@ -294,8 +283,9 @@ func (v *Verifier) restoreState(st Snapshot, lenient bool) ([]RestoreError, erro
 		return nil, fmt.Errorf("verifier: RestoreState requires an empty verifier (%d agents present)", n)
 	}
 	var skipped []RestoreError
+	parsed := make(map[string]*policySlot)
 	for _, as := range st.Agents {
-		a, err := restoreAgent(as)
+		a, err := restoreAgent(as, parsed)
 		if err == nil && !v.agents.insert(as.AgentID, a) {
 			err = fmt.Errorf("duplicate agent in snapshot")
 		}
@@ -321,8 +311,27 @@ func newRestoreError(agentID string, err error) RestoreError {
 	return re
 }
 
+// restorePolicy returns the slot for a row's policy bytes. parsed, local
+// to one restore or import, holds the slot of every distinct encoding
+// seen so far: a fleet restored from rows that share a policy parses it
+// once and the agents share the immutable result. The row's bytes become
+// the slot's encoding — they are what was parsed. A policy that fails to
+// parse is not remembered, so each row carrying it reports its own error.
+func restorePolicy(raw json.RawMessage, parsed map[string]*policySlot) (*policySlot, error) {
+	if slot, ok := parsed[string(raw)]; ok {
+		return slot, nil
+	}
+	pol := policy.New()
+	if err := json.Unmarshal(raw, pol); err != nil {
+		return nil, err
+	}
+	slot := &policySlot{RuntimePolicy: pol, json: append(json.RawMessage(nil), raw...)}
+	parsed[string(raw)] = slot
+	return slot, nil
+}
+
 // restoreAgent deserializes one snapshot row into a monitored agent.
-func restoreAgent(as AgentState) (*monitored, error) {
+func restoreAgent(as AgentState, parsed map[string]*policySlot) (*monitored, error) {
 	if as.AgentID == "" {
 		return nil, fieldErr{"agent_id", fmt.Errorf("missing agent id")}
 	}
@@ -330,11 +339,14 @@ func restoreAgent(as AgentState) (*monitored, error) {
 	if err != nil {
 		return nil, fieldErr{"ak_pub", err}
 	}
-	pol := policy.New()
+	var pol *policySlot
 	if len(as.Policy) > 0 {
-		if err := json.Unmarshal(as.Policy, pol); err != nil {
-			return nil, fieldErr{"policy", err}
-		}
+		pol, err = restorePolicy(as.Policy, parsed)
+	} else {
+		pol, err = installPolicy(policy.New())
+	}
+	if err != nil {
+		return nil, fieldErr{"policy", err}
 	}
 	var prefix tpm.Digest
 	raw, err := hex.DecodeString(as.PrefixAggregate)
@@ -389,8 +401,8 @@ func restoreAgent(as AgentState) (*monitored, error) {
 		a.polEnvelope = append(json.RawMessage(nil), as.PolicyEnvelope...)
 	}
 	if len(as.ShadowPolicy) > 0 {
-		shadow := policy.New()
-		if err := json.Unmarshal(as.ShadowPolicy, shadow); err != nil {
+		shadow, err := restorePolicy(as.ShadowPolicy, parsed)
+		if err != nil {
 			return nil, fieldErr{"shadow_policy", err}
 		}
 		a.shadowPol = shadow

@@ -256,7 +256,7 @@ type monitored struct {
 	// mu guards everything below.
 	mu              sync.Mutex
 	removed         bool
-	pol             *policy.RuntimePolicy
+	pol             *policySlot
 	bootGolden      measuredboot.Golden
 	state           State
 	halted          bool
@@ -279,7 +279,7 @@ type monitored struct {
 	// rollout bundle — provenance, carried opaque. Cleared whenever a
 	// policy installs without one (rollback to an unsealed restore point).
 	polEnvelope       json.RawMessage
-	shadowPol         *policy.RuntimePolicy
+	shadowPol         *policySlot
 	shadowGen         uint64
 	shadowRounds      int
 	shadowClean       int
@@ -294,6 +294,27 @@ type monitored struct {
 	sess      *verifierSession
 	noBinary  bool
 	lastCheck CheckLevel
+}
+
+// policySlot is one installed policy — active or shadow — with its
+// canonical JSON beside it. Installed policies are immutable: every
+// install site stores a fresh Clone and every reader is handed a Clone.
+// So the encoding is produced once per install (or taken from the row on
+// restore) and state export reuses it, instead of re-encoding every
+// agent's unchanged policy on every sweep.
+type policySlot struct {
+	*policy.RuntimePolicy
+	json json.RawMessage
+}
+
+// installPolicy clones pol into a new slot.
+func installPolicy(pol *policy.RuntimePolicy) (*policySlot, error) {
+	cloned := pol.Clone()
+	enc, err := json.Marshal(cloned)
+	if err != nil {
+		return nil, fmt.Errorf("verifier: serializing policy: %w", err)
+	}
+	return &policySlot{RuntimePolicy: cloned, json: enc}, nil
 }
 
 // isRemoved reports whether the agent was unenrolled after this round
@@ -622,6 +643,10 @@ func (v *Verifier) AddAgentWithAK(agentID, agentURL string, akPub []byte, pol *p
 	// A malformed AK is kept nil and surfaces at attestation time as the
 	// same invalid-quote failure the per-round parse used to produce.
 	akKey, _ := tpm.ParseAKPublic(akPub)
+	slot, err := installPolicy(pol)
+	if err != nil {
+		return err
+	}
 	a := &monitored{
 		id:        agentID,
 		url:       agentURL,
@@ -629,7 +654,7 @@ func (v *Verifier) AddAgentWithAK(agentID, agentURL string, akPub []byte, pol *p
 		akKey:     akKey,
 		akName:    tpm.AKName(akPub),
 		attestURL: agentURL + api.AttestPath,
-		pol:       pol.Clone(),
+		pol:       slot,
 		state:     StateStart,
 	}
 	if !v.agents.insert(agentID, a) {
@@ -690,17 +715,20 @@ func (v *Verifier) swapPolicy(agentID string, pol *policy.RuntimePolicy, checkSt
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownAgent, agentID)
 	}
-	cloned := pol.Clone()
+	slot, err := installPolicy(pol)
+	if err != nil {
+		return err
+	}
 	a.mu.Lock()
 	if checkStale {
 		curTS := a.pol.Meta().Timestamp
-		newTS := cloned.Meta().Timestamp
+		newTS := slot.Meta().Timestamp
 		if !curTS.IsZero() && !newTS.IsZero() && newTS.Before(curTS) {
 			a.mu.Unlock()
 			return fmt.Errorf("%w: signed %v, installed %v", ErrStalePolicy, newTS, curTS)
 		}
 	}
-	a.pol = cloned
+	a.pol = slot
 	a.policyGen = 0
 	a.mu.Unlock()
 	v.markDirty(agentID)

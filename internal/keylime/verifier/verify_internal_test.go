@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/ima"
+	"repro/internal/policy"
 	"repro/internal/tpm"
 )
 
@@ -91,5 +92,47 @@ func BenchmarkVerifyAndFold(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestRestoreParsesEachDistinctPolicyOnce: within one restore, rows whose
+// policy bytes are identical share one parsed policy — active or shadow —
+// and rows with other bytes do not.
+func TestRestoreParsesEachDistinctPolicyOnce(t *testing.T) {
+	src := New("")
+	defer src.Close()
+	polA, polB := policy.New(), policy.New()
+	polA.Add("/usr/bin/a", tpm.Digest{1})
+	polB.Add("/usr/bin/b", tpm.Digest{2})
+	for i, pol := range []*policy.RuntimePolicy{polA, polA, polB} {
+		if err := src.AddAgentWithAK(fmt.Sprintf("agent-%d", i), "http://agent.invalid", []byte("ak"), pol); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := src.SetShadowPolicy("agent-2", 7, polA); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := src.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := New("")
+	defer v.Close()
+	if err := v.RestoreState(snap); err != nil {
+		t.Fatal(err)
+	}
+	slot := func(id string) *monitored {
+		a, ok := v.agents.get(id)
+		if !ok {
+			t.Fatalf("%s not restored", id)
+		}
+		return a
+	}
+	a0, a1, a2 := slot("agent-0"), slot("agent-1"), slot("agent-2")
+	if a0.pol != a1.pol || a2.shadowPol != a0.pol {
+		t.Fatal("rows with identical policy bytes were parsed separately")
+	}
+	if a2.pol == a0.pol || !a2.pol.Has("/usr/bin/b") || !a0.pol.Has("/usr/bin/a") {
+		t.Fatal("rows with different policy bytes share a policy")
 	}
 }
